@@ -346,7 +346,7 @@ impl Block {
     }
 
     /// Shape and strides padded to `MAX_RANK` with leading unit dims.
-    /// The walkers iterate these four fixed loops.
+    /// [`Block::walk`] iterates these four fixed loops.
     #[inline]
     fn dims4(&self) -> ([usize; MAX_RANK], [usize; MAX_RANK]) {
         let rank = self.rank as usize;
@@ -392,90 +392,6 @@ impl Block {
                 o1 += st[1];
             }
             o0 += st[0];
-        }
-    }
-
-    /// Visit `(a[i], b[i])` over the joint broadcast shape in logical
-    /// row-major order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are incompatible.
-    #[inline]
-    pub fn walk2<F: FnMut(f64, f64)>(a: &Block, b: &Block, mut f: F) {
-        let joint = Block::joint_shape(a, b);
-        let av = a.broadcast_view(&joint);
-        let bv = b.broadcast_view(&joint);
-        let (shape, sa) = av.dims4();
-        let (_, sb) = bv.dims4();
-        let da = av.storage_slice();
-        let db = bv.storage_slice();
-        let (mut a0, mut b0) = (av.offset, bv.offset);
-        for _ in 0..shape[0] {
-            let (mut a1, mut b1) = (a0, b0);
-            for _ in 0..shape[1] {
-                let (mut a2, mut b2) = (a1, b1);
-                for _ in 0..shape[2] {
-                    let (mut a3, mut b3) = (a2, b2);
-                    for _ in 0..shape[3] {
-                        f(da[a3], db[b3]);
-                        a3 += sa[3];
-                        b3 += sb[3];
-                    }
-                    a2 += sa[2];
-                    b2 += sb[2];
-                }
-                a1 += sa[1];
-                b1 += sb[1];
-            }
-            a0 += sa[0];
-            b0 += sb[0];
-        }
-    }
-
-    /// Visit `(a[i], b[i], c[i])` over the joint broadcast shape in
-    /// logical row-major order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are incompatible.
-    #[inline]
-    pub fn walk3<F: FnMut(f64, f64, f64)>(a: &Block, b: &Block, c: &Block, mut f: F) {
-        let mut joint = Block::joint_shape(a, b);
-        joint = joint_of(&joint, c.shape());
-        let av = a.broadcast_view(&joint);
-        let bv = b.broadcast_view(&joint);
-        let cv = c.broadcast_view(&joint);
-        let (shape, sa) = av.dims4();
-        let (_, sb) = bv.dims4();
-        let (_, sc) = cv.dims4();
-        let da = av.storage_slice();
-        let db = bv.storage_slice();
-        let dc = cv.storage_slice();
-        let (mut a0, mut b0, mut c0) = (av.offset, bv.offset, cv.offset);
-        for _ in 0..shape[0] {
-            let (mut a1, mut b1, mut c1) = (a0, b0, c0);
-            for _ in 0..shape[1] {
-                let (mut a2, mut b2, mut c2) = (a1, b1, c1);
-                for _ in 0..shape[2] {
-                    let (mut a3, mut b3, mut c3) = (a2, b2, c2);
-                    for _ in 0..shape[3] {
-                        f(da[a3], db[b3], dc[c3]);
-                        a3 += sa[3];
-                        b3 += sb[3];
-                        c3 += sc[3];
-                    }
-                    a2 += sa[2];
-                    b2 += sb[2];
-                    c2 += sc[2];
-                }
-                a1 += sa[1];
-                b1 += sb[1];
-                c1 += sc[1];
-            }
-            a0 += sa[0];
-            b0 += sb[0];
-            c0 += sc[0];
         }
     }
 
@@ -601,15 +517,6 @@ impl Block {
             offset: self.offset,
             storage,
         }
-    }
-
-    /// Joint broadcast shape of two blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are incompatible.
-    pub fn joint_shape(a: &Block, b: &Block) -> Vec<usize> {
-        joint_of(a.shape(), b.shape())
     }
 
     /// Elementwise binary op with broadcasting.
@@ -987,6 +894,78 @@ impl Block {
             }
         }
     }
+
+    /// This block broadcast to `shape` (NumPy rules), seen as rows along
+    /// the last axis in logical row-major order — zero-copy, and inline
+    /// scalars stay inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block does not broadcast to `shape`.
+    pub(crate) fn rows(&self, shape: &[usize]) -> Rows<'_> {
+        let rank = self.rank as usize;
+        let nd = shape.len();
+        assert!(
+            nd >= rank && nd <= MAX_RANK,
+            "cannot broadcast {:?} to {shape:?}",
+            self.shape()
+        );
+        let pad = nd - rank;
+        let stride_of = |d: usize| -> usize {
+            if d < pad || self.shape[d - pad] == 1 {
+                return 0;
+            }
+            assert_eq!(
+                self.shape[d - pad],
+                shape[d],
+                "cannot broadcast {:?} to {shape:?}",
+                self.shape()
+            );
+            self.strides[d - pad]
+        };
+        let mut dims = [1usize; 3];
+        let mut strides = [0usize; 3];
+        let outer = nd.saturating_sub(1);
+        for d in 0..outer {
+            dims[3 - outer + d] = shape[d];
+            strides[3 - outer + d] = stride_of(d);
+        }
+        Rows {
+            data: self.storage_slice(),
+            step: if nd == 0 { 0 } else { stride_of(nd - 1) },
+            offset: self.offset,
+            dims,
+            strides,
+        }
+    }
+}
+
+/// A block broadcast to a joint shape, split into rows along the last
+/// axis (see [`Block::rows`]): lane `c` of row `r` is
+/// `data[start(r) + c * step]`. A `step` of 0 means every lane of a row
+/// holds the same value.
+pub(crate) struct Rows<'a> {
+    pub(crate) data: &'a [f64],
+    pub(crate) step: usize,
+    offset: usize,
+    /// Leading (row) dims and strides, padded on the left to 3.
+    dims: [usize; 3],
+    strides: [usize; 3],
+}
+
+impl Rows<'_> {
+    /// Storage index of row `r`'s first lane.
+    #[inline]
+    pub(crate) fn start(&self, r: usize) -> usize {
+        if self.dims[0] == 1 && self.dims[1] == 1 {
+            return self.offset + r * self.strides[2];
+        }
+        let (q, i2) = (r / self.dims[2], r % self.dims[2]);
+        self.offset
+            + (q / self.dims[1]) * self.strides[0]
+            + (q % self.dims[1]) * self.strides[1]
+            + i2 * self.strides[2]
+    }
 }
 
 /// One scalar application of a [`BinOp`].
@@ -1007,30 +986,6 @@ pub(crate) fn apply_binop(op: BinOp, x: f64, y: f64) -> f64 {
         BinOp::Ge => f64::from(x >= y),
         BinOp::And => f64::from(x != 0.0 && y != 0.0),
     }
-}
-
-/// NumPy-style joint broadcast shape of two shapes.
-fn joint_of(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let nd = a.len().max(b.len());
-    let mut out = vec![0usize; nd];
-    for i in 0..nd {
-        let da = if i < nd - a.len() {
-            1
-        } else {
-            a[i - (nd - a.len())]
-        };
-        let db = if i < nd - b.len() {
-            1
-        } else {
-            b[i - (nd - b.len())]
-        };
-        assert!(
-            da == db || da == 1 || db == 1,
-            "incompatible block shapes {a:?} / {b:?}"
-        );
-        out[i] = da.max(db);
-    }
-    out
 }
 
 impl PartialEq for Block {
@@ -1191,14 +1146,38 @@ mod tests {
     }
 
     #[test]
-    fn walk2_matches_materialized_broadcast() {
+    fn rows_match_materialized_broadcast() {
+        // Lane c of row r, read through `rows`, equals the broadcast
+        // block's element in logical order — for a column, a row, a
+        // transposed view, a rank-3 joint and an inline scalar.
+        let lanes = |b: &Block, shape: &[usize]| -> Vec<f64> {
+            let rows = b.rows(shape);
+            let width = shape.last().copied().unwrap_or(1);
+            let n: usize = shape.iter().product();
+            (0..n)
+                .map(|i| rows.data[rows.start(i / width) + (i % width) * rows.step])
+                .collect()
+        };
         let y = Block::iota(2).expand_dims(1);
         let x = Block::iota(4).expand_dims(0);
-        let mut pairs = Vec::new();
-        Block::walk2(&y, &x, |a, b| pairs.push((a, b)));
-        assert_eq!(pairs.len(), 8);
-        assert_eq!(pairs[0], (0.0, 0.0));
-        assert_eq!(pairs[5], (1.0, 1.0));
+        let t = Block::iota(6).view(vec![2, 3]).trans();
+        let s = Block::scalar(7.0);
+        for (b, shape) in [
+            (&y, vec![2, 4]),
+            (&x, vec![2, 4]),
+            (&t, vec![3, 2]),
+            (&t, vec![2, 3, 2]),
+            (&s, vec![3, 2]),
+            (&s, vec![]),
+        ] {
+            assert_eq!(
+                lanes(b, &shape),
+                b.broadcast_to(&shape).to_vec(),
+                "{shape:?}"
+            );
+        }
+        assert_eq!(y.rows(&[2, 4]).step, 0, "a column is constant along rows");
+        assert_eq!(x.rows(&[2, 4]).step, 1);
     }
 
     #[test]

@@ -12,15 +12,23 @@
 //! 2. Register slots are recycled through a buffer pool, and last-use
 //!    liveness releases dead buffers eagerly: steady-state loop
 //!    iterations perform zero heap allocation.
-//! 3. DRAM first-touch tracking uses address-space bitmaps and atomics
-//!    use per-parameter count vectors — no hashing on the hot path; the
-//!    per-warp coalescing walk runs over a stack buffer.
+//! 3. Every memory site goes through one row-run routine
+//!    (`Machine::site_runs`): its active lanes become runs of consecutive
+//!    offsets — rows masked by an `[R, 1]` mask are skipped whole, and a
+//!    contiguous row is one run. Warp sectors resolve arithmetically
+//!    from the runs each warp covers (rows narrower or wider than a
+//!    warp alike), values move as slice copies and slice adds, and
+//!    atomic hits are slice increments. DRAM first-touch tracking uses
+//!    address-space bitmaps and atomics per-parameter count vectors — no
+//!    hashing on the hot path.
 //! 4. Grid-invariant and row-invariant work executes once and is shared
 //!    (or stream-replayed) across instances; fully affine analytic
 //!    launches cost one representative per row and replay the rest.
 //! 5. The grid-instance loop can run sharded across threads with a
-//!    deterministic merge (see [`LaunchOptions`]); results are
-//!    bit-identical to the sequential order.
+//!    deterministic merge (see [`LaunchOptions`]): Execute-mode shards
+//!    log their writes as runs (headers plus an `f32` value arena) that
+//!    replay run by run in instance order, so results are bit-identical
+//!    to the sequential order.
 
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::device::DeviceModel;
@@ -284,13 +292,57 @@ impl ArgsView<'_, '_> {
     }
 }
 
-/// One deferred Execute-mode write, replayed in instance order after a
-/// parallel launch.
-struct WriteOp {
-    off: u32,
-    val: f32,
+/// One deferred run of Execute-mode writes: `len` consecutive elements
+/// of `param` from `off`, stored or atomically added. Its values follow
+/// the previous run's in the log's value arena.
+struct WriteRun {
+    off: usize,
+    len: u32,
     param: u16,
     atomic: bool,
+}
+
+/// A parallel shard's run-compressed write log: run headers in instance
+/// order plus one `f32` value arena, replayed run by run after the
+/// launch.
+#[derive(Default)]
+struct WriteLog {
+    runs: Vec<WriteRun>,
+    vals: Vec<f32>,
+}
+
+impl WriteLog {
+    /// Log one site execution's writes (`vals` in lane order).
+    fn push(&mut self, param: usize, atomic: bool, site: &RunSet, vals: &[f64]) {
+        for r in &site.runs {
+            self.runs.push(WriteRun {
+                off: r.off as usize,
+                len: r.len,
+                param: param as u16,
+                atomic,
+            });
+            let lane = r.lane as usize;
+            self.vals
+                .extend(vals[lane..lane + r.len as usize].iter().map(|&v| v as f32));
+        }
+    }
+
+    /// Replay the logged writes to `param` into its data, in log order.
+    fn replay(&self, param: usize, data: &mut [f32], round: bool) {
+        let mut cur = 0;
+        for w in &self.runs {
+            let n = w.len as usize;
+            if w.param as usize == param {
+                apply_run(
+                    &mut data[w.off..w.off + n],
+                    self.vals[cur..cur + n].iter().copied(),
+                    w.atomic,
+                    round,
+                );
+            }
+            cur += n;
+        }
+    }
 }
 
 /// Where Execute-mode value writes go.
@@ -298,7 +350,7 @@ enum WriteSink {
     /// Mutate tensors in place (sequential path).
     Direct,
     /// Defer into an ordered log (parallel path).
-    Log(Vec<WriteOp>),
+    Log(WriteLog),
 }
 
 /// One recorded occurrence of an invariant instruction inside a
@@ -336,16 +388,14 @@ impl CacheState {
 }
 
 /// One access-site execution recorded by a row representative for
-/// instance-class replay: the touched sectors (as inclusive runs), the
-/// atomic address stream, and the active-offset bounds used to prove
-/// members in-range.
+/// instance-class replay: its runs and the active-offset bounds used to
+/// prove members in-range.
 struct TraceEntry {
     site: u32,
-    runs: Vec<(u64, u64)>,
-    /// Atomic hits as `(start_addr, run_len, hits)`: `run_len`
-    /// consecutive addresses each hit `hits` times (scatter tiles are
-    /// row-major, so this compresses ~32:1).
-    counts: Vec<(i64, u32, u32)>,
+    /// The site's runs as `(first offset, length)`. Each touches the
+    /// sector range of its end elements and, for atomics, hits each of
+    /// its addresses once (overlapping runs add up to the exact counts).
+    runs: Vec<(i64, u32)>,
     min_off: i64,
     max_off: i64,
 }
@@ -359,9 +409,6 @@ struct TraceState {
     rep_cost: InstCost,
     rep_time: f64,
     rep_p0: usize,
-    /// Scratch lane buffers reused across sites (representatives only).
-    scratch: Vec<i64>,
-    scratch_pairs: Vec<(i64, u32)>,
 }
 
 impl TraceState {
@@ -373,8 +420,6 @@ impl TraceState {
             rep_cost: InstCost::default(),
             rep_time: 0.0,
             rep_p0: 0,
-            scratch: Vec::new(),
-            scratch_pairs: Vec::new(),
         }
     }
 }
@@ -395,6 +440,9 @@ struct Machine<'a> {
     pool: Vec<PoolBuf>,
     cs: CacheState,
     trace: TraceState,
+    /// Run decomposition of the site being executed (scratch reused
+    /// across sites).
+    runs: RunSet,
 }
 
 impl<'a> Machine<'a> {
@@ -411,6 +459,7 @@ impl<'a> Machine<'a> {
             pool: Vec::new(),
             cs: CacheState::new(),
             trace: TraceState::new(),
+            runs: RunSet::default(),
         }
     }
 
@@ -458,212 +507,83 @@ impl<'a> Machine<'a> {
         self.stats.instructions += c.instructions;
     }
 
-    /// Record a warp-granular memory access over the active lanes of an
-    /// offset block (in the logical order of `joint`); returns an error
-    /// on the first out-of-bounds active offset.
+    /// The shared row-run routine every memory site goes through: split
+    /// the site's active lanes (in the logical order of `joint`) into
+    /// runs, record them for instance-class replay, bounds-check them in
+    /// lane order, and charge their warp sectors. The caller moves the
+    /// values along the returned runs and hands the scratch back through
+    /// `self.runs`.
     ///
     /// Matches the seed semantics exactly: lanes chunk into warps of 32
     /// in logical row-major order, each warp's active sector ids dedup
-    /// into L2 transactions, and the launch-wide bitmap provides the
-    /// DRAM first-touch filter.
-    fn record_access(
+    /// into L2 transactions, the launch-wide bitmap provides the DRAM
+    /// first-touch filter, and the error names the first out-of-bounds
+    /// active offset in lane order.
+    fn site_runs(
         &mut self,
+        site: u32,
         param: usize,
         offsets: &Block,
         mask: Option<&Block>,
         joint: &[usize],
         is_write: bool,
-    ) -> Result<(), GpuError> {
-        // Lane values in logical `joint` order. Nearly every access in
-        // compiled kernels hits the contiguous fast paths; strided or
-        // broadcast layouts stage through pooled scratch buffers first so
-        // the warp scan below always runs over plain slices with its
-        // state in registers.
-        let base = self.program.params.bases[param];
-        let esize = self.program.params.esizes[param];
+    ) -> Result<RunSet, GpuError> {
+        let mut rs = std::mem::take(&mut self.runs);
+        rs.build(offsets, mask, joint);
+        if self.trace.active {
+            self.trace_site(site, &rs);
+        }
         let len = self.program.params.lens[param];
-        let off_direct = if offsets.shape() == joint {
-            offsets.as_slice()
-        } else {
-            None
-        };
-        let off_scratch = if off_direct.is_some() {
-            None
-        } else {
-            let mut b = self.alloc();
-            let v = b.vec();
-            v.clear();
-            v.reserve(joint.iter().product());
-            offsets.broadcast_to(joint).walk(|x| v.push(x));
-            Some(b)
-        };
-        let mask_direct = match mask {
-            Some(m) if m.shape() == joint => m.as_slice(),
-            _ => None,
-        };
-        let mut mask_scratch = match mask {
-            Some(m) if mask_direct.is_none() => {
-                let mut b = self.alloc();
-                let v = b.vec();
-                v.clear();
-                v.reserve(joint.iter().product());
-                m.broadcast_to(joint).walk(|x| v.push(x));
-                Some(b)
-            }
-            _ => None,
-        };
-        let mut off_scratch_for_read = off_scratch;
-        let (l2, oob) = {
-            let so: &[f64] = match (&mut off_scratch_for_read, off_direct) {
-                (Some(b), _) => b.vec(),
-                (None, Some(s)) => s,
-                (None, None) => unreachable!("offsets staged or direct"),
-            };
-            let sm: Option<&[f64]> = match (mask, &mut mask_scratch, mask_direct) {
-                (None, _, _) => None,
-                (Some(_), Some(b), _) => Some(b.vec()),
-                (Some(_), None, Some(s)) => Some(s),
-                (Some(_), None, None) => unreachable!("mask staged or direct"),
-            };
-            let seen = if is_write {
-                &mut self.dram_write_seen
-            } else {
-                &mut self.dram_read_seen
-            };
-            warp_scan(so, sm, base, esize, len, seen)
-        };
-        if let Some(b) = off_scratch_for_read {
-            self.pool.push(b);
-        }
-        if let Some(b) = mask_scratch {
-            self.pool.push(b);
-        }
-        if let Some(offset) = oob {
+        if let Some(offset) = rs.first_oob(len) {
+            self.runs = rs;
             return Err(GpuError::OffsetOutOfBounds {
                 param: self.program.param_names[param].clone(),
                 offset,
-                len: self.program.params.lens[param],
+                len,
             });
         }
+        let base = self.program.params.bases[param];
+        let esize = self.program.params.esizes[param];
         if is_write {
-            self.inst.l2_write_sectors += l2;
+            self.inst.l2_write_sectors += rs.charge_sectors(base, esize, &mut self.dram_write_seen);
         } else {
-            self.inst.l2_read_sectors += l2;
+            self.inst.l2_read_sectors += rs.charge_sectors(base, esize, &mut self.dram_read_seen);
         }
-        Ok(())
+        Ok(rs)
     }
 
-    /// Record one access-site execution for instance-class replay: the
-    /// set of touched sectors (compressed to runs), the atomic address
-    /// stream, and the active-offset bounds. Runs on row representatives
-    /// only; costs nothing on the replay path.
-    fn trace_site(&mut self, site: u32, off: &Block, mask: Option<&Block>, joint: &[usize]) {
+    /// Record one access-site execution for instance-class replay: its
+    /// runs and active-offset bounds. Runs on row representatives only;
+    /// costs nothing on the replay path.
+    fn trace_site(&mut self, site: u32, rs: &RunSet) {
         let info = &self.program.sites[site as usize];
         if !info.traced {
             return;
         }
-        let base = self.program.params.bases[info.param];
-        let esize = self.program.params.esizes[info.param];
-        let mut offs = std::mem::take(&mut self.trace.scratch);
-        offs.clear();
-        let mut exact = true;
-        let mut sorted = true;
-        let mut prev = i64::MIN;
-        let mut push = |o: f64, exact: &mut bool, sorted: &mut bool, prev: &mut i64| {
-            *exact &= o.fract() == 0.0 && o.abs() < 9.0e15;
-            let oi = o as i64;
-            *sorted &= *prev <= oi;
-            *prev = oi;
-            offs.push(oi);
-        };
-        let ob = off.broadcast_to(joint);
-        match mask {
-            None => ob.walk(|o| push(o, &mut exact, &mut sorted, &mut prev)),
-            Some(m) => {
-                let mb = m.broadcast_to(joint);
-                Block::walk2(&ob, &mb, |o, mk| {
-                    if mk != 0.0 {
-                        push(o, &mut exact, &mut sorted, &mut prev);
-                    }
-                });
-            }
-        }
-        if !exact {
+        if !rs.exact {
             // Non-integer offsets: the affine-shift argument does not
             // hold, so the whole row falls back to full execution.
             self.trace.valid = false;
-            self.trace.scratch = offs;
             return;
         }
         let mut entry = TraceEntry {
             site,
-            runs: Vec::new(),
-            counts: Vec::new(),
+            runs: rs.runs.iter().map(|r| (r.off, r.len)).collect(),
             min_off: 0,
             max_off: -1,
         };
-        if !offs.is_empty() {
-            if !sorted {
-                offs.sort_unstable();
-            }
-            entry.min_off = offs[0];
-            entry.max_off = *offs.last().expect("nonempty");
+        if !rs.runs.is_empty() {
+            entry.min_off = rs.runs.iter().map(|r| r.off).min().expect("nonempty");
+            entry.max_off = rs.runs.iter().map(Run::last).max().expect("nonempty");
             if entry.min_off < 0
                 || entry.max_off as u64 >= self.program.params.lens[info.param] as u64
             {
                 // The representative itself is out of bounds; execution
                 // will report the error — no replay for this row.
                 self.trace.valid = false;
-                self.trace.scratch = offs;
                 return;
             }
-            if info.is_atomic {
-                // Collapse the sorted address stream to (addr, hits)
-                // pairs, then pairs with consecutive addresses and equal
-                // hit counts to runs.
-                let mut pairs = std::mem::take(&mut self.trace.scratch_pairs);
-                pairs.clear();
-                let mut i = 0;
-                while i < offs.len() {
-                    let addr = offs[i];
-                    let mut n = 1u32;
-                    while i + (n as usize) < offs.len() && offs[i + n as usize] == addr {
-                        n += 1;
-                    }
-                    pairs.push((addr, n));
-                    i += n as usize;
-                }
-                let mut k = 0;
-                while k < pairs.len() {
-                    let (start, c) = pairs[k];
-                    let mut len = 1usize;
-                    while k + len < pairs.len()
-                        && pairs[k + len].0 == start + len as i64
-                        && pairs[k + len].1 == c
-                    {
-                        len += 1;
-                    }
-                    entry.counts.push((start, len as u32, c));
-                    k += len;
-                }
-                self.trace.scratch_pairs = pairs;
-            }
-            // Sector runs straight off the sorted offsets.
-            let mut run_start = (base + offs[0] as u64 * esize) / SECTOR;
-            let mut prev_sec = run_start;
-            for &o in &offs[1..] {
-                let sec = (base + o as u64 * esize) / SECTOR;
-                if sec == prev_sec || sec == prev_sec + 1 {
-                    prev_sec = sec;
-                    continue;
-                }
-                entry.runs.push((run_start, prev_sec));
-                run_start = sec;
-                prev_sec = sec;
-            }
-            entry.runs.push((run_start, prev_sec));
         }
-        self.trace.scratch = offs;
         self.trace.entries.push(entry);
     }
 
@@ -691,31 +611,32 @@ impl<'a> Machine<'a> {
         }
         for e in &self.trace.entries {
             let site = &program.sites[e.site as usize];
-            let esize = program.params.esizes[site.param] as i64;
-            let shift_elems = delta * site.coeff as i64;
-            // Exact by construction: `coeff · esize` is a whole number
-            // of sectors.
-            let shift_secs = shift_elems * esize / SECTOR as i64;
+            let p = site.param;
+            let (base, esize) = (program.params.bases[p], program.params.esizes[p]);
+            // A member's offsets are the representative's shifted by
+            // `shift`; `coeff · esize` is a whole number of sectors, so
+            // its warps cost the same and only the touched sectors move.
+            let shift = delta * site.coeff as i64;
             let seen = if site.is_write {
                 &mut self.dram_write_seen
             } else {
                 &mut self.dram_read_seen
             };
-            for &(lo, hi) in &e.runs {
-                for sec in lo..=hi {
-                    seen.insert((sec as i64 + shift_secs) as u64);
+            for &(off, len) in &e.runs {
+                let (lo, hi) = (off + shift, off + shift + len as i64 - 1);
+                for sec in sector_of(base, esize, lo)..=sector_of(base, esize, hi) {
+                    seen.insert(sec);
                 }
             }
-            if site.is_atomic && !e.counts.is_empty() {
-                let p = site.param;
+            if site.is_atomic && !e.runs.is_empty() {
                 if self.atomic_counts[p].is_empty() {
                     self.atomic_counts[p] = vec![0u64; program.params.lens[p]];
                 }
                 let counts = &mut self.atomic_counts[p];
-                for &(start, len, n) in &e.counts {
-                    let s = (start + shift_elems) as usize;
+                for &(off, len) in &e.runs {
+                    let s = (off + shift) as usize;
                     for slot in &mut counts[s..s + len as usize] {
-                        *slot += n as u64;
+                        *slot += 1;
                     }
                 }
             }
@@ -1025,7 +946,7 @@ impl<'a> Machine<'a> {
                 mask,
                 site,
             } => {
-                self.exec_store(regs, *param, *offset, *value, *mask, *site, args)?;
+                self.exec_write(regs, *param, *offset, *value, *mask, *site, args, false)?;
             }
             CInstr::AtomicAdd {
                 param,
@@ -1034,7 +955,7 @@ impl<'a> Machine<'a> {
                 mask,
                 site,
             } => {
-                self.exec_atomic_add(regs, *param, *offset, *value, *mask, *site, args)?;
+                self.exec_write(regs, *param, *offset, *value, *mask, *site, args, true)?;
             }
             CInstr::Dot { dst, a, b } => {
                 let buf = self.alloc();
@@ -1176,173 +1097,35 @@ impl<'a> Machine<'a> {
             Some(m) => Shape4::joint(off.shape(), m.shape()),
             None => off.shape4(),
         };
-        if self.trace.active {
-            self.trace_site(site, off, mb, joint.as_slice());
-        }
-        let read_values =
-            self.mode == Mode::Execute || self.program.params.dtypes[param] == DType::I32;
-
-        // Scalar loads (row-pointer reads and the like) need no buffer
-        // at all — the result is an inline scalar.
-        if joint.as_slice().is_empty() {
-            self.record_access(param, off, mb, joint.as_slice(), false)?;
-            let active = match mb {
-                Some(m) => m.first() != 0.0,
-                None => true,
-            };
-            let value = if !active {
-                other
-            } else if read_values {
-                args.data(param)[off.first() as usize] as f64
-            } else {
-                0.0
-            };
-            return Ok(Block::scalar(value));
-        }
-
-        // Fused fast path: unmasked contiguous offsets with real value
-        // reads — one pass does the warp/sector accounting and the
-        // gather together (these dominate Execute-mode launches).
-        if read_values && mb.is_none() {
-            if let Some(offs) = off.as_slice() {
-                let mut buf = self.alloc();
-                let out = buf.vec();
-                out.clear();
-                out.reserve(offs.len());
-                let base = self.program.params.bases[param];
-                let esize = self.program.params.esizes[param];
-                let len = self.program.params.lens[param];
-                let data = args.data(param);
-                let seen = &mut self.dram_read_seen;
-                let mut l2 = 0u64;
-                let mut oob = None;
-                for chunk in offs.chunks(WARP) {
-                    if chunk.len() == WARP && consecutive(chunk) {
-                        match scan_consecutive(chunk, base, esize, len, seen) {
-                            Ok(uniq) => l2 += uniq,
-                            Err(offset) => {
-                                oob = Some(offset);
-                                break;
-                            }
-                        }
-                        let o0 = chunk[0] as usize;
-                        out.extend(data[o0..o0 + WARP].iter().map(|&x| x as f64));
-                    } else {
-                        let (uniq, bad) = scan_chunk(chunk, None, base, esize, len, seen);
-                        l2 += uniq;
-                        if bad.is_some() {
-                            oob = bad;
-                            break;
-                        }
-                        out.extend(chunk.iter().map(|&o| data[o as usize] as f64));
-                    }
-                }
-                if let Some(offset) = oob {
-                    self.pool.push(buf);
-                    return Err(GpuError::OffsetOutOfBounds {
-                        param: self.program.param_names[param].clone(),
-                        offset,
-                        len,
-                    });
-                }
-                self.inst.l2_read_sectors += l2;
-                return Ok(Block::from_packed(joint, buf));
-            }
-        }
-
-        // Fused fast path for masked loads with flat layouts.
-        if read_values {
-            if let Some(m) = mb {
-                let off_flat = if off.shape() == joint.as_slice() {
-                    off.as_slice()
-                } else {
-                    None
-                };
-                let mask_flat = if m.shape() == joint.as_slice() {
-                    m.as_slice()
-                } else {
-                    None
-                };
-                if let (Some(offs), Some(ms)) = (off_flat, mask_flat) {
-                    let mut buf = self.alloc();
-                    let out = buf.vec();
-                    out.clear();
-                    out.reserve(offs.len());
-                    let base = self.program.params.bases[param];
-                    let esize = self.program.params.esizes[param];
-                    let len = self.program.params.lens[param];
-                    let data = args.data(param);
-                    let seen = &mut self.dram_read_seen;
-                    let mut l2 = 0u64;
-                    let mut oob = None;
-                    for (chunk, mchunk) in offs.chunks(WARP).zip(ms.chunks(WARP)) {
-                        let (uniq, bad) = scan_chunk(chunk, Some(mchunk), base, esize, len, seen);
-                        l2 += uniq;
-                        if bad.is_some() {
-                            oob = bad;
-                            break;
-                        }
-                        out.extend(chunk.iter().zip(mchunk).map(|(&o, &mk)| {
-                            if mk != 0.0 {
-                                data[o as usize] as f64
-                            } else {
-                                other
-                            }
-                        }));
-                    }
-                    if let Some(offset) = oob {
-                        self.pool.push(buf);
-                        return Err(GpuError::OffsetOutOfBounds {
-                            param: self.program.param_names[param].clone(),
-                            offset,
-                            len,
-                        });
-                    }
-                    self.inst.l2_read_sectors += l2;
-                    return Ok(Block::from_packed(joint, buf));
-                }
-            }
-        }
-
-        self.record_access(param, off, mb, joint.as_slice(), false)?;
-        // Analytic fast path: float loads with no mask are all zeros; a
-        // constant block costs one slot instead of a full gather.
-        if !read_values && mb.is_none() {
-            let buf = self.alloc();
-            return Ok(Block::full_packed(joint, 0.0, buf));
-        }
-        let mut buf = self.alloc();
-        let out = buf.vec();
-        out.clear();
-        out.reserve(joint.volume());
-        match (mb, read_values) {
-            (None, _) => {
-                let data = args.data(param);
-                let ob = off.broadcast_to(joint.as_slice());
-                ob.walk(|o| out.push(data[o as usize] as f64));
-            }
-            (Some(m), true) => {
-                let data = args.data(param);
-                Block::walk2(off, m, |o, mk| {
-                    out.push(if mk != 0.0 {
-                        data[o as usize] as f64
-                    } else {
-                        other
-                    });
-                });
-            }
-            (Some(m), false) => {
-                // Analytic values depend only on the mask (0.0 active,
-                // `other` inactive) — walk it alone.
-                let mv = m.broadcast_to(joint.as_slice());
-                mv.walk(|mk| out.push(if mk != 0.0 { 0.0 } else { other }));
-            }
-        }
-        Ok(Block::from_packed(joint, buf))
+        let rs = self.site_runs(site, param, off, mb, joint.as_slice(), false)?;
+        // Float loads in Analytic mode read 0.0 on active lanes; metadata
+        // (I32) loads always read real data so addresses stay exact.
+        let data = (self.mode == Mode::Execute || self.program.params.dtypes[param] == DType::I32)
+            .then(|| args.data(param));
+        let out = if joint.as_slice().is_empty() {
+            // Scalar loads (row-pointer reads and the like) need no
+            // buffer at all — the result is an inline scalar.
+            Block::scalar(match (rs.runs.first(), data) {
+                (None, _) => other,
+                (Some(r), Some(d)) => d[r.off as usize] as f64,
+                (Some(_), None) => 0.0,
+            })
+        } else if data.is_none() && (mb.is_none() || other.to_bits() == 0) {
+            // Every lane reads +0.0: a constant block costs one slot.
+            Block::full_packed(joint, 0.0, self.alloc())
+        } else {
+            let mut buf = self.alloc();
+            rs.gather(data, other, buf.vec());
+            Block::from_packed(joint, buf)
+        };
+        self.runs = rs;
+        Ok(out)
     }
 
+    /// A store or atomic add: account the site, count atomic hits, and in
+    /// Execute mode move the values run by run into the write sink.
     #[allow(clippy::too_many_arguments)]
-    fn exec_store(
+    fn exec_write(
         &mut self,
         regs: &[Option<Block>],
         param: usize,
@@ -1351,6 +1134,7 @@ impl<'a> Machine<'a> {
         mask: Option<Reg>,
         site: u32,
         args: &mut ArgsView<'_, '_>,
+        atomic: bool,
     ) -> Result<(), GpuError> {
         let off = Self::reg(regs, offset)?;
         let val = Self::reg(regs, value)?;
@@ -1362,195 +1146,47 @@ impl<'a> Machine<'a> {
         if let Some(m) = mb {
             joint = Shape4::joint(joint.as_slice(), m.shape());
         }
-        if self.trace.active {
-            self.trace_site(site, off, mb, joint.as_slice());
-        }
-        self.record_access(param, off, mb, joint.as_slice(), true)?;
-        if self.mode != Mode::Execute {
-            return Ok(());
-        }
-        let round = self.program.params.dtypes[param] == DType::F16;
-        match &mut self.sink {
-            WriteSink::Direct => {
-                let data = args.data_mut(param);
-                // Flat fast path: unmasked, same-shape contiguous offset
-                // and value blocks.
-                if mb.is_none() && off.shape() == val.shape() {
-                    if let (Some(so), Some(sv)) = (off.as_slice(), val.as_slice()) {
-                        for (&o, &v) in so.iter().zip(sv) {
-                            let mut x = v as f32;
-                            if round {
-                                x = insum_tensor::f16_round(x);
-                            }
-                            data[o as usize] = x;
-                        }
-                        return Ok(());
-                    }
-                }
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, v, mk| {
-                        if mk != 0.0 {
-                            let mut x = v as f32;
-                            if round {
-                                x = insum_tensor::f16_round(x);
-                            }
-                            data[o as usize] = x;
-                        }
-                    }),
-                    None => Block::walk2(off, val, |o, v| {
-                        let mut x = v as f32;
-                        if round {
-                            x = insum_tensor::f16_round(x);
-                        }
-                        data[o as usize] = x;
-                    }),
-                }
+        let joint = joint.as_slice();
+        let rs = self.site_runs(site, param, off, mb, joint, true)?;
+        if atomic {
+            let counts = &mut self.atomic_counts[param];
+            if counts.is_empty() {
+                *counts = vec![0u64; self.program.params.lens[param]];
             }
-            WriteSink::Log(log) => {
-                let p = param as u16;
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, v, mk| {
-                        if mk != 0.0 {
-                            log.push(WriteOp {
-                                off: o as u32,
-                                val: v as f32,
-                                param: p,
-                                atomic: false,
-                            });
-                        }
-                    }),
-                    None => Block::walk2(off, val, |o, v| {
-                        log.push(WriteOp {
-                            off: o as u32,
-                            val: v as f32,
-                            param: p,
-                            atomic: false,
-                        });
-                    }),
+            rs.count_hits(counts);
+            self.inst.atomics += rs.active;
+        }
+        if self.mode == Mode::Execute {
+            // Values in lane order: the register itself when it already
+            // has the joint layout, else staged once.
+            let mut staged = None;
+            let scalar;
+            let vals: &[f64] = match val.as_slice() {
+                Some(v) if val.shape() == joint => v,
+                _ if joint.is_empty() => {
+                    scalar = [val.first()];
+                    &scalar
                 }
+                _ => {
+                    let mut b = self.alloc();
+                    let v = b.vec();
+                    v.clear();
+                    val.broadcast_to(joint).walk(|x| v.push(x));
+                    staged.insert(b).vec()
+                }
+            };
+            match &mut self.sink {
+                WriteSink::Direct => {
+                    let round = self.program.params.dtypes[param] == DType::F16;
+                    rs.write(args.data_mut(param), vals, atomic, round);
+                }
+                WriteSink::Log(log) => log.push(param, atomic, &rs, vals),
+            }
+            if let Some(b) = staged {
+                self.pool.push(b);
             }
         }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_atomic_add(
-        &mut self,
-        regs: &[Option<Block>],
-        param: usize,
-        offset: Reg,
-        value: Reg,
-        mask: Option<Reg>,
-        site: u32,
-        args: &mut ArgsView<'_, '_>,
-    ) -> Result<(), GpuError> {
-        let off = Self::reg(regs, offset)?;
-        let val = Self::reg(regs, value)?;
-        let mb = match mask {
-            Some(m) => Some(Self::reg(regs, m)?),
-            None => None,
-        };
-        let mut joint = Shape4::joint(off.shape(), val.shape());
-        if let Some(m) = mb {
-            joint = Shape4::joint(joint.as_slice(), m.shape());
-        }
-        if self.trace.active {
-            self.trace_site(site, off, mb, joint.as_slice());
-        }
-        self.record_access(param, off, mb, joint.as_slice(), true)?;
-
-        if self.atomic_counts[param].is_empty() {
-            self.atomic_counts[param] = vec![0u64; self.program.params.lens[param]];
-        }
-        let round = self.program.params.dtypes[param] == DType::F16;
-        let execute = self.mode == Mode::Execute;
-        let counts = &mut self.atomic_counts[param];
-        let inst = &mut self.inst;
-        match (&mut self.sink, execute) {
-            (WriteSink::Direct, true) => {
-                let data = args.data_mut(param);
-                // Flat fast path: unmasked, same-shape contiguous offset
-                // and value blocks (the compiled scatter pattern) — a
-                // plain zip with register-resident state.
-                if mb.is_none() && off.shape() == val.shape() {
-                    if let (Some(so), Some(sv)) = (off.as_slice(), val.as_slice()) {
-                        let mut atomics = 0u64;
-                        for (&o, &v) in so.iter().zip(sv) {
-                            let o = o as usize;
-                            counts[o] += 1;
-                            let slot = &mut data[o];
-                            let mut x = *slot + v as f32;
-                            if round {
-                                x = insum_tensor::f16_round(x);
-                            }
-                            *slot = x;
-                            atomics += 1;
-                        }
-                        inst.atomics += atomics;
-                        return Ok(());
-                    }
-                }
-                let mut per_lane = |o: f64, v: f64, active: bool| {
-                    if active {
-                        inst.atomics += 1;
-                        let o = o as usize;
-                        counts[o] += 1;
-                        let slot = &mut data[o];
-                        let mut x = *slot + v as f32;
-                        if round {
-                            x = insum_tensor::f16_round(x);
-                        }
-                        *slot = x;
-                    }
-                };
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, v, mk| per_lane(o, v, mk != 0.0)),
-                    None => Block::walk2(off, val, |o, v| per_lane(o, v, true)),
-                }
-            }
-            (WriteSink::Log(log), true) => {
-                let p = param as u16;
-                let mut per_lane = |o: f64, v: f64, active: bool| {
-                    if active {
-                        inst.atomics += 1;
-                        let o = o as usize;
-                        counts[o] += 1;
-                        log.push(WriteOp {
-                            off: o as u32,
-                            val: v as f32,
-                            param: p,
-                            atomic: true,
-                        });
-                    }
-                };
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, v, mk| per_lane(o, v, mk != 0.0)),
-                    None => Block::walk2(off, val, |o, v| per_lane(o, v, true)),
-                }
-            }
-            // Analytic: count collisions, write nothing.
-            (_, false) => {
-                if mb.is_none() && off.shape() == joint.as_slice() {
-                    if let Some(so) = off.as_slice() {
-                        for &o in so {
-                            counts[o as usize] += 1;
-                        }
-                        inst.atomics += so.len() as u64;
-                        return Ok(());
-                    }
-                }
-                let mut per_lane = |o: f64, active: bool| {
-                    if active {
-                        inst.atomics += 1;
-                        counts[o as usize] += 1;
-                    }
-                };
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, _, mk| per_lane(o, mk != 0.0)),
-                    None => Block::walk2(off, val, |o, _| per_lane(o, true)),
-                }
-            }
-        }
+        self.runs = rs;
         Ok(())
     }
 }
@@ -1580,164 +1216,271 @@ fn cached_dst(instr: &CInstr) -> Reg {
     }
 }
 
-/// The warp-coalescing scan over one access's lane stream: chunk lanes
-/// into warps of 32, bounds-check active offsets, dedup each warp's
-/// sector ids into L2 transactions, and feed the launch-wide DRAM
-/// first-touch bitmap. Returns `(l2_sectors, first_oob_offset)`.
-///
-/// All per-warp state lives in locals so the loop stays in registers;
-/// offsets are almost always ascending within a warp (tile base plus
-/// `arange`), so sortedness is tracked while filling and only the rare
-/// crooked warp pays for a sort.
-/// True when the lane offsets are `chunk[0] + [0, 1, 2, ...]` — the tile
-/// pattern `base + arange` that dominates compiled kernels. Offsets are
-/// integers below 2^53, so the f64 comparison is exact.
+/// One run of a site's active lanes: `len` lanes from lane `lane` (in
+/// the logical row-major order of the joint shape) address the
+/// consecutive elements `off, off + 1, …`. A lane that continues no run
+/// — a scattered gather, a non-integer offset — is a run of length 1
+/// whose `off` is the truncated offset, as the seed interpreter reads it.
+#[derive(Clone, Copy)]
+struct Run {
+    lane: u32,
+    len: u32,
+    off: i64,
+}
+
+impl Run {
+    /// The run's last element offset.
+    #[inline]
+    fn last(&self) -> i64 {
+        self.off + self.len as i64 - 1
+    }
+}
+
+/// One site execution as runs of active lanes, in lane order. Tiles are
+/// rows of a base taken from metadata plus a contiguous column range, so
+/// a `[R, C]` access is at most `R` runs: masked rows are skipped whole
+/// and adjacent rows that continue each other merge.
+#[derive(Default)]
+struct RunSet {
+    runs: Vec<Run>,
+    /// Lanes in the joint shape, active or not.
+    lanes: usize,
+    /// Active lanes.
+    active: u64,
+    /// Every active offset is an integer (instance-class replay shifts
+    /// offsets, which is only exact for integers).
+    exact: bool,
+    /// The last run can grow: its last offset `tail` is an integer.
+    open: bool,
+    tail: f64,
+}
+
+impl RunSet {
+    /// Decompose the lanes of `off` (with `mask`) broadcast to `joint`.
+    /// A mask that is constant along the last axis (`[R, 1]`, scalar)
+    /// switches whole rows; any other mask is read lane by lane.
+    fn build(&mut self, off: &Block, mask: Option<&Block>, joint: &[usize]) {
+        self.runs.clear();
+        self.exact = true;
+        self.open = false;
+        self.lanes = joint.iter().product();
+        let width = joint.last().copied().unwrap_or(1);
+        let offs = off.rows(joint);
+        let mask = mask.map(|m| m.rows(joint));
+        let rows = self.lanes.checked_div(width).unwrap_or(0);
+        for r in 0..rows {
+            let lane = r * width;
+            let o = offs.start(r);
+            match &mask {
+                Some(m) if m.step == 0 && m.data[m.start(r)] == 0.0 => continue,
+                Some(m) if m.step != 0 => {
+                    let ms = m.start(r);
+                    for c in 0..width {
+                        if m.data[ms + c * m.step] != 0.0 {
+                            self.push(lane + c, 1, offs.data[o + c * offs.step]);
+                        }
+                    }
+                    continue;
+                }
+                _ => {}
+            }
+            if offs.step == 1 {
+                self.push_row(lane, &offs.data[o..o + width]);
+            } else {
+                for c in 0..width {
+                    self.push(lane + c, 1, offs.data[o + c * offs.step]);
+                }
+            }
+        }
+        self.active = self.runs.iter().map(|r| r.len as u64).sum();
+    }
+
+    /// Append a fully active row of offsets as maximal consecutive runs.
+    fn push_row(&mut self, lane: usize, offs: &[f64]) {
+        if exact_int(offs[0]) && consecutive(offs) {
+            self.push(lane, offs.len(), offs[0]);
+            return;
+        }
+        let mut c = 0;
+        while c < offs.len() {
+            let mut e = c + 1;
+            if exact_int(offs[c]) {
+                while e < offs.len() && offs[e] - offs[e - 1] == 1.0 {
+                    e += 1;
+                }
+            }
+            self.push(lane + c, e - c, offs[c]);
+            c = e;
+        }
+    }
+
+    /// Append `n` active lanes from `lane` addressing `off, off + 1, …`
+    /// (`n > 1` only for an integer `off`), growing the last run when
+    /// both its lanes and its offsets continue into these.
+    #[inline]
+    fn push(&mut self, lane: usize, n: usize, off: f64) {
+        if self.open && off == self.tail + 1.0 {
+            let last = self.runs.last_mut().expect("an open run exists");
+            if last.lane as usize + last.len as usize == lane {
+                last.len += n as u32;
+                self.tail = off + (n - 1) as f64;
+                return;
+            }
+        }
+        let exact = exact_int(off);
+        self.exact &= exact;
+        self.open = exact;
+        self.tail = off + (n - 1) as f64;
+        self.runs.push(Run {
+            lane: lane as u32,
+            len: n as u32,
+            off: off as i64,
+        });
+    }
+
+    /// The first out-of-bounds active offset in lane order. Offsets rise
+    /// along a run, so a run that starts in bounds first leaves them at
+    /// exactly `len`.
+    fn first_oob(&self, len: usize) -> Option<i64> {
+        let len = len as u64;
+        for r in &self.runs {
+            if r.off as u64 >= len {
+                return Some(r.off);
+            }
+            if r.last() as u64 >= len {
+                return Some(len as i64);
+            }
+        }
+        None
+    }
+
+    /// Warp-coalesced sector accounting: lanes chunk into warps of 32,
+    /// each warp's active sectors dedup into L2 transactions (returned
+    /// summed), and every touched sector enters the DRAM first-touch set.
+    /// Elements are at most a sector wide, so the part of a run inside
+    /// one warp touches exactly the sector range of its end elements.
+    fn charge_sectors(&self, base: u64, esize: u64, seen: &mut SectorSet) -> u64 {
+        let mut l2 = 0u64;
+        let mut pieces = [(0u64, 0u64); WARP];
+        let mut n = 0usize;
+        let mut warp = usize::MAX;
+        for r in &self.runs {
+            let (mut lane, mut off, mut left) = (r.lane as usize, r.off, r.len as usize);
+            while left > 0 {
+                if lane / WARP != warp {
+                    l2 += warp_sectors(&mut pieces[..n], seen);
+                    n = 0;
+                    warp = lane / WARP;
+                }
+                let take = left.min(WARP - lane % WARP);
+                pieces[n] = (
+                    sector_of(base, esize, off),
+                    sector_of(base, esize, off + take as i64 - 1),
+                );
+                n += 1;
+                lane += take;
+                off += take as i64;
+                left -= take;
+            }
+        }
+        l2 + warp_sectors(&mut pieces[..n], seen)
+    }
+
+    /// Add one hit per active lane to the per-address atomic counts.
+    fn count_hits(&self, counts: &mut [u64]) {
+        for r in &self.runs {
+            for c in &mut counts[r.off as usize..=r.last() as usize] {
+                *c += 1;
+            }
+        }
+    }
+
+    /// Gather into `out` (joint volume, lane order): active lanes read
+    /// `data` (0.0 when `None`), inactive lanes hold `other`.
+    fn gather(&self, data: Option<&[f32]>, other: f64, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(self.lanes);
+        for r in &self.runs {
+            out.resize(r.lane as usize, other);
+            let (o, n) = (r.off as usize, r.len as usize);
+            match data {
+                Some(d) => out.extend(d[o..o + n].iter().map(|&x| x as f64)),
+                None => out.resize(out.len() + n, 0.0),
+            }
+        }
+        out.resize(self.lanes, other);
+    }
+
+    /// Write `vals` (lane order) into `data` run by run: plain stores or
+    /// atomic adds, in lane order.
+    fn write(&self, data: &mut [f32], vals: &[f64], atomic: bool, round: bool) {
+        for r in &self.runs {
+            let (o, l, n) = (r.off as usize, r.lane as usize, r.len as usize);
+            apply_run(
+                &mut data[o..o + n],
+                vals[l..l + n].iter().map(|&v| v as f32),
+                atomic,
+                round,
+            );
+        }
+    }
+}
+
+/// Apply one run of `f32` write values to consecutive slots: stores, or
+/// atomic adds (`slot + v`), rounded to half precision for F16 tensors.
 #[inline]
-fn consecutive(chunk: &[f64]) -> bool {
-    // Branchless difference fold (no int-to-float conversions) so the
-    // probe vectorizes.
+fn apply_run(slots: &mut [f32], vals: impl Iterator<Item = f32>, atomic: bool, round: bool) {
+    for (slot, v) in slots.iter_mut().zip(vals) {
+        let x = if atomic { *slot + v } else { v };
+        *slot = if round { insum_tensor::f16_round(x) } else { x };
+    }
+}
+
+/// The sector holding element `off` of a parameter.
+#[inline]
+fn sector_of(base: u64, esize: u64, off: i64) -> u64 {
+    (base + off as u64 * esize) / SECTOR
+}
+
+/// An integer offset below 2^53: f64 steps of exactly 1.0 from it stay
+/// integers, and it converts to `i64` exactly.
+#[inline]
+fn exact_int(o: f64) -> bool {
+    o.fract() == 0.0 && o.abs() < 9.0e15
+}
+
+/// True when the offsets are `offs[0] + [0, 1, 2, ...]`. Branchless
+/// difference fold (no int-to-float conversions) so the probe
+/// vectorizes; exact for integers below 2^53.
+#[inline]
+fn consecutive(offs: &[f64]) -> bool {
     let mut ok = true;
-    for t in 1..chunk.len() {
-        ok &= chunk[t] - chunk[t - 1] == 1.0;
+    for t in 1..offs.len() {
+        ok &= offs[t] - offs[t - 1] == 1.0;
     }
     ok
 }
 
-/// Sector accounting for one consecutive full warp (`chunk[0] + arange`):
-/// the touched sectors are exactly the arithmetic range [first, last].
-/// Returns the L2 transaction count, or the first offending offset using
-/// the same convention as the lane-order scan (the lowest out-of-range
-/// value, since offsets ascend).
+/// One warp's L2 transactions: the distinct sectors in its pieces
+/// (inclusive sector ranges, one per run part), each inserted into the
+/// first-touch set. Pieces nearly always arrive sorted; only a crooked
+/// warp pays for a sort.
 #[inline]
-fn scan_consecutive(
-    chunk: &[f64],
-    base: u64,
-    esize: u64,
-    len: usize,
-    seen: &mut SectorSet,
-) -> Result<u64, i64> {
-    let o0 = chunk[0] as i64;
-    if o0 as u64 >= len as u64 {
-        return Err(o0);
+fn warp_sectors(pieces: &mut [(u64, u64)], seen: &mut SectorSet) -> u64 {
+    if pieces.windows(2).any(|w| w[1].0 < w[0].0) {
+        pieces.sort_unstable();
     }
-    let o1 = o0 + chunk.len() as i64 - 1;
-    if o1 as u64 >= len as u64 {
-        // First offending lane is the first offset == len.
-        return Err(len as i64);
-    }
-    let sec0 = (base + o0 as u64 * esize) / SECTOR;
-    let sec1 = (base + o1 as u64 * esize) / SECTOR;
-    for sec in sec0..=sec1 {
-        seen.insert(sec);
-    }
-    Ok(sec1 - sec0 + 1)
-}
-
-fn warp_scan(
-    offs: &[f64],
-    mask: Option<&[f64]>,
-    base: u64,
-    esize: u64,
-    len: usize,
-    seen: &mut SectorSet,
-) -> (u64, Option<i64>) {
-    let mut l2 = 0u64;
-    match mask {
-        None => {
-            for chunk in offs.chunks(WARP) {
-                // Consecutive warps resolve arithmetically: the touched
-                // sectors are exactly the range [first, last].
-                if chunk.len() == WARP && consecutive(chunk) {
-                    match scan_consecutive(chunk, base, esize, len, seen) {
-                        Ok(uniq) => l2 += uniq,
-                        Err(offset) => return (l2, Some(offset)),
-                    }
-                    continue;
-                }
-                let (uniq, oob) = scan_chunk(chunk, None, base, esize, len, seen);
-                l2 += uniq;
-                if oob.is_some() {
-                    return (l2, oob);
-                }
-            }
-        }
-        Some(mask) => {
-            for (chunk, mchunk) in offs.chunks(WARP).zip(mask.chunks(WARP)) {
-                let (uniq, oob) = scan_chunk(chunk, Some(mchunk), base, esize, len, seen);
-                l2 += uniq;
-                if oob.is_some() {
-                    return (l2, oob);
-                }
-            }
-        }
-    }
-    (l2, None)
-}
-
-/// One warp's generic sector scan: dedup by adjacent transition while
-/// filling (exact when the warp is sorted — the common case), recount
-/// after a sort otherwise. `seen` inserts are idempotent, so inserting
-/// before sortedness is known is harmless.
-#[inline]
-fn scan_chunk(
-    chunk: &[f64],
-    mask: Option<&[f64]>,
-    base: u64,
-    esize: u64,
-    len: usize,
-    seen: &mut SectorSet,
-) -> (u64, Option<i64>) {
-    let mut sectors = [0u64; WARP];
-    let mut n = 0usize;
-    let mut sorted = true;
-    let mut prev = 0u64;
     let mut uniq = 0u64;
-    let mut prev_ins = u64::MAX;
-    for (t, &off) in chunk.iter().enumerate() {
-        if let Some(m) = mask {
-            if m[t] == 0.0 {
-                continue;
+    // First sector not yet counted.
+    let mut next = 0u64;
+    for &(lo, hi) in pieces.iter() {
+        let lo = lo.max(next);
+        if lo <= hi {
+            for sec in lo..=hi {
+                seen.insert(sec);
             }
-        }
-        let off_i = off as i64;
-        // Unsigned compare covers both negative and too-large.
-        if off_i as u64 >= len as u64 {
-            return (
-                if sorted {
-                    uniq
-                } else {
-                    recount(&mut sectors[..n])
-                },
-                Some(off_i),
-            );
-        }
-        let sec = (base + off_i as u64 * esize) / SECTOR;
-        sorted &= prev <= sec;
-        prev = sec;
-        if sec != prev_ins {
-            uniq += 1;
-            seen.insert(sec);
-            prev_ins = sec;
-        }
-        sectors[n] = sec;
-        n += 1;
-    }
-    if sorted {
-        (uniq, None)
-    } else {
-        (recount(&mut sectors[..n]), None)
-    }
-}
-
-/// Unique-count of an unsorted warp (sorts in place).
-fn recount(sectors: &mut [u64]) -> u64 {
-    sectors.sort_unstable();
-    let mut uniq = 0u64;
-    let mut prev = u64::MAX;
-    for &sec in sectors.iter() {
-        if sec != prev {
-            uniq += 1;
-            prev = sec;
+            uniq += hi - lo + 1;
+            next = hi + 1;
         }
     }
     uniq
@@ -1937,7 +1680,7 @@ impl Program {
                 write: SectorSet,
                 counts: Vec<Vec<u64>>,
                 times: Vec<f64>,
-                log: Vec<WriteOp>,
+                log: WriteLog,
             }
             type ShardResult = Result<Shard, (usize, GpuError)>;
             let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
@@ -1946,7 +1689,7 @@ impl Program {
                         let shared = &shared;
                         scope.spawn(move || -> ShardResult {
                             let sink = match mode {
-                                Mode::Execute => WriteSink::Log(Vec::new()),
+                                Mode::Execute => WriteSink::Log(WriteLog::default()),
                                 Mode::Analytic => WriteSink::Direct, // never writes
                             };
                             let mut m = Machine::new(self, mode, sink);
@@ -1960,7 +1703,7 @@ impl Program {
                             )?;
                             let log = match m.sink {
                                 WriteSink::Log(log) => log,
-                                WriteSink::Direct => Vec::new(),
+                                WriteSink::Direct => WriteLog::default(),
                             };
                             Ok(Shard {
                                 stats: m.stats,
@@ -2025,16 +1768,16 @@ impl Program {
             // Replay runs per written parameter — distinct parameters
             // never alias, so their relative write order is immaterial —
             // which binds each output's copy-on-write storage exactly
-            // once instead of re-checking uniqueness on every write op.
-            // The marking pass costs one sequential scan of the logs and
+            // once instead of re-checking uniqueness on every logged run.
+            // The marking pass costs one scan of the run headers and
             // keeps materialization exact (only params with logged
             // writes are bound); kernels write one or two params, so the
             // per-param filtered replay stays within a small constant of
-            // the old single interleaved pass.
+            // a single interleaved pass.
             if mode == Mode::Execute {
                 let mut touched = vec![false; self.params.lens.len()];
                 for shard in &shards {
-                    for w in &shard.log {
+                    for w in &shard.log.runs {
                         touched[w.param as usize] = true;
                     }
                 }
@@ -2042,14 +1785,7 @@ impl Program {
                     let round = self.params.dtypes[p] == DType::F16;
                     let data = args[p].data_mut();
                     for shard in &shards {
-                        for w in shard.log.iter().filter(|w| w.param as usize == p) {
-                            let slot = &mut data[w.off as usize];
-                            let mut v = if w.atomic { *slot + w.val } else { w.val };
-                            if round {
-                                v = insum_tensor::f16_round(v);
-                            }
-                            *slot = v;
-                        }
+                        shard.log.replay(p, data, round);
                     }
                 }
             }
@@ -2924,5 +2660,235 @@ mod tests {
             y_t.data().iter().all(|&v| v == 4.0),
             "each instance increments by 1"
         );
+    }
+
+    /// `Y[IDX[r], :] = X[IDX[r], :] + 16 * IDX[r]` over a `[4, 16]` tile
+    /// whose rows are switched on and off by an `[4, 1]` mask loaded from
+    /// `LIVE`, the shape of the codegen's `arange(YB) < q` row mask. `Z`
+    /// receives the loaded tile as is, masked lanes (`other = -1`)
+    /// included.
+    fn row_tile_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("rowtile");
+        let x = b.input("X");
+        let idx = b.input("IDX");
+        let live = b.input("LIVE");
+        let y = b.output("Y");
+        let z = b.output("Z");
+        let r = b.arange(4);
+        let c = b.arange(16);
+        let on = b.load(live, r, None, 0.0);
+        let ids = b.load(idx, r, None, 0.0);
+        let width = b.constant(16.0);
+        let base = b.binary(BinOp::Mul, ids, width);
+        let base2 = b.expand_dims(base, 1);
+        let c2 = b.expand_dims(c, 0);
+        let offs = b.binary(BinOp::Add, base2, c2);
+        let on2 = b.expand_dims(on, 1);
+        let v = b.load(x, offs, Some(on2), -1.0);
+        let tagged = b.binary(BinOp::Add, v, base2);
+        b.store(y, offs, tagged, Some(on2));
+        let r2 = b.expand_dims(r, 1);
+        let tile = b.binary(BinOp::Mul, r2, width);
+        let local = b.binary(BinOp::Add, tile, c2);
+        b.store(z, local, v, None);
+        b.build()
+    }
+
+    /// Launch the row tile with row ids `ids` and row switches `live` on
+    /// both interpreters (X and Y hold `x_len` elements); outputs must
+    /// agree whenever the launch succeeds.
+    fn row_tile_both(
+        ids: [i64; 4],
+        live: [i64; 4],
+        x_len: usize,
+    ) -> (
+        Result<KernelReport, GpuError>,
+        Result<KernelReport, GpuError>,
+    ) {
+        let kernel = row_tile_kernel();
+        let mk = || {
+            (
+                Tensor::from_fn(vec![x_len], |i| i[0] as f32),
+                Tensor::from_indices(vec![4], ids.to_vec()).unwrap(),
+                Tensor::from_indices(vec![4], live.to_vec()).unwrap(),
+                Tensor::zeros(vec![x_len]),
+                Tensor::zeros(vec![64]),
+            )
+        };
+        let (mut x1, mut i1, mut l1, mut y1, mut z1) = mk();
+        let (mut x2, mut i2, mut l2, mut y2, mut z2) = mk();
+        let new = launch(
+            &kernel,
+            &[1],
+            &mut [&mut x1, &mut i1, &mut l1, &mut y1, &mut z1],
+            &device(),
+            Mode::Execute,
+        );
+        let old = launch_reference(
+            &kernel,
+            &[1],
+            &mut [&mut x2, &mut i2, &mut l2, &mut y2, &mut z2],
+            &device(),
+            Mode::Execute,
+        );
+        if new.is_ok() {
+            assert_eq!(y1.data(), y2.data(), "ids {ids:?} live {live:?}");
+            assert_eq!(z1.data(), z2.data(), "ids {ids:?} live {live:?}");
+        }
+        (new, old)
+    }
+
+    #[test]
+    fn out_of_bounds_in_active_row_matches_reference() {
+        // Row 1 runs off the end of a 60-element X (first bad offset is
+        // the length), starts past it, or starts below zero.
+        for (ids, x_len, want) in [
+            ([0i64, 3, 1, 0], 60, 60i64),
+            ([0, 7, 1, 0], 64, 112),
+            ([0, -2, 1, 0], 64, -32),
+        ] {
+            let (new, old) = row_tile_both(ids, [1, 1, 1, 0], x_len);
+            assert_eq!(new, old, "ids {ids:?}");
+            match new {
+                Err(GpuError::OffsetOutOfBounds { param, offset, .. }) => {
+                    assert_eq!((param.as_str(), offset), ("X", want), "ids {ids:?}");
+                }
+                other => panic!("ids {ids:?}: expected an out-of-bounds error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_in_masked_row_is_no_error() {
+        // Row 3 is switched off, so its wild base is never touched.
+        for wild in [99i64, -5, 4] {
+            let (new, old) = row_tile_both([0, 2, 1, wild], [1, 1, 1, 0], 64);
+            let (new, old) = (new.unwrap(), old.unwrap());
+            assert_eq!(new.stats, old.stats);
+            assert_eq!(new.time, old.time);
+            // 3 rows of 2 sectors from X, plus IDX and LIVE.
+            assert_eq!(new.stats.l2_read_sectors, 3 * 2 + 2);
+            assert_eq!(new.stats.l2_write_sectors, 3 * 2 + 8, "Y rows + all of Z");
+        }
+    }
+
+    #[test]
+    fn masked_rows_split_runs_whose_offsets_continue() {
+        // Row 2 continues row 0's offsets (16..32 after 0..16), but the
+        // switched-off row 1 between them must keep them separate runs.
+        for live in [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]] {
+            let (new, old) = row_tile_both([0, 3, 1, 2], live, 64);
+            let (new, old) = (new.unwrap(), old.unwrap());
+            assert_eq!(new.stats, old.stats, "live {live:?}");
+            assert_eq!(new.time, old.time, "live {live:?}");
+        }
+    }
+
+    #[test]
+    fn fractional_offsets_truncate_like_the_seed() {
+        // Offsets -0.5, 0.5, 1.5, ... step by exactly 1.0 but truncate to
+        // 0, 0, 1, ...: they must not form a run from 0.
+        let mut b = KernelBuilder::new("fractional");
+        let x = b.input("X");
+        let y = b.output("Y");
+        let lanes = b.arange(32);
+        let half = b.constant(0.5);
+        let offs = b.binary(BinOp::Sub, lanes, half);
+        let v = b.load(x, offs, None, 0.0);
+        b.atomic_add(y, offs, v, None);
+        b.store(y, lanes, v, None);
+        let k = b.build();
+        for mode in [Mode::Execute, Mode::Analytic] {
+            let mk = || {
+                (
+                    Tensor::from_fn(vec![32], |i| i[0] as f32),
+                    Tensor::zeros(vec![32]),
+                )
+            };
+            let (mut x1, mut y1) = mk();
+            let (mut x2, mut y2) = mk();
+            let new = launch(&k, &[1], &mut [&mut x1, &mut y1], &device(), mode).unwrap();
+            let old = launch_reference(&k, &[1], &mut [&mut x2, &mut y2], &device(), mode).unwrap();
+            assert_eq!(new.stats, old.stats, "{mode:?}");
+            assert_eq!(y1.data(), y2.data(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn two_shard_overlapping_runs_replay_bit_for_bit() {
+        // Four instances each atomically add a 2x16 tile to rows picked
+        // by IDX; every instance hits row 0, so the shards' runs overlap.
+        // Values per instance are 1e8, 1, -1e8, 1 (non-associative in
+        // f32), and the F16 output gets them scaled into half range.
+        let (rows, cols, inst) = (2usize, 16usize, 4usize);
+        let mut b = KernelBuilder::new("overlap");
+        let v = b.input("V");
+        let idx = b.input("IDX");
+        let y32 = b.output("Y32");
+        let y16 = b.output("Y16");
+        let pid = b.program_id(0);
+        let r = b.arange(rows);
+        let c = b.arange(cols);
+        let rows_c = b.constant(rows as f64);
+        let rbase = b.binary(BinOp::Mul, pid, rows_c);
+        let rid = b.binary(BinOp::Add, rbase, r);
+        let ids = b.load(idx, rid, None, 0.0);
+        let width = b.constant(cols as f64);
+        let base = b.binary(BinOp::Mul, ids, width);
+        let base2 = b.expand_dims(base, 1);
+        let c2 = b.expand_dims(c, 0);
+        let offs = b.binary(BinOp::Add, base2, c2);
+        let vals = b.load(v, pid, None, 0.0);
+        let tile = b.full(vec![rows, cols], 1.0);
+        let tv = b.binary(BinOp::Mul, tile, vals);
+        b.atomic_add(y32, offs, tv, None);
+        let scale = b.constant(1.0 / 32768.0);
+        let tv16 = b.binary(BinOp::Mul, tv, scale);
+        b.atomic_add(y16, offs, tv16, None);
+        let kernel = b.build();
+
+        let mk = || {
+            (
+                Tensor::from_vec(vec![inst], vec![1e8, 1.0, -1e8, 1.0]).unwrap(),
+                Tensor::from_indices(vec![inst * rows], vec![0, 1, 0, 2, 0, 1, 2, 0]).unwrap(),
+                Tensor::zeros(vec![3 * cols]),
+                Tensor::zeros(vec![3 * cols]).cast(DType::F16),
+            )
+        };
+        let run = |opts: Option<&LaunchOptions>| {
+            let (mut v, mut i, mut a, mut h) = mk();
+            let mut args = [&mut v, &mut i, &mut a, &mut h];
+            let report = match opts {
+                Some(o) => launch_with(&kernel, &[inst], &mut args, &device(), Mode::Execute, o),
+                None => launch_reference(&kernel, &[inst], &mut args, &device(), Mode::Execute),
+            }
+            .unwrap();
+            (report, a, h)
+        };
+        let mut two = LaunchOptions::with_threads(2);
+        two.min_parallel_instances = 2;
+        let (seq, seq32, seq16) = run(Some(&LaunchOptions::sequential()));
+        let (par, par32, par16) = run(Some(&two));
+        let (old, old32, old16) = run(None);
+        assert_eq!(par, seq);
+        assert_eq!(par.stats, old.stats);
+        assert_eq!(par.time, old.time);
+        for (got, want) in [
+            (&par32, &seq32),
+            (&par16, &seq16),
+            (&par32, &old32),
+            (&par16, &old16),
+        ] {
+            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want));
+        }
+        // Order matters here: a reassociated replay would leave 1 or 2.
+        assert_eq!(
+            seq32.at(&[0]),
+            1.0,
+            "((1e8 + 1) - 1e8) + 1 in instance order"
+        );
+        // Row 0 is hit 4 times, rows 1 and 2 twice, in both outputs.
+        assert_eq!(seq.stats.atomic_conflicts, 2 * (3 + 1 + 1) * 16);
     }
 }

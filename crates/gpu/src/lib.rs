@@ -42,10 +42,19 @@
 //! * **Register-slot recycling** — overwritten registers donate their
 //!   buffers (refcount block included) to a pool, so steady-state loop
 //!   iterations allocate nothing.
+//! * **Row-run memory sites** — Insum's gathers and scatters address
+//!   tiles whose rows are a metadata base plus a contiguous column
+//!   range, with padded rows switched off by an `[R, 1]` mask. Every
+//!   load, store and atomic add decomposes its active lanes into runs
+//!   of consecutive offsets: masked rows are skipped whole, each warp's
+//!   sectors resolve arithmetically from the runs it covers, values
+//!   move as slice copies and slice adds, and lanes that fit no run
+//!   (scattered gathers) are runs of one. The counters — sectors, DRAM
+//!   first touches, collision counts, the first out-of-bounds offset in
+//!   lane order — are exactly the seed's lane-by-lane ones.
 //! * **Compact access tracking** — the kernel-resident L2 filter is an
 //!   address-space bitmap and atomic collisions are per-parameter count
-//!   vectors; the per-warp coalescing scan runs over stack buffers with
-//!   an arithmetic shortcut for the dominant `base + arange` pattern.
+//!   vectors, so nothing is hashed on the hot path.
 //! * **Bit-exact SIMD** — elementwise f64 arithmetic and the `tl.dot`
 //!   inner loops dispatch to 4-wide vector code at runtime where the
 //!   host supports it (no fused multiply-add, no reassociation of any
@@ -53,7 +62,8 @@
 //! * **Deterministic parallelism** — [`launch_with`] can shard the
 //!   grid-instance loop across threads ([`LaunchOptions`]); DRAM
 //!   first-touch sets union, collision counters add, and Execute-mode
-//!   writes replay from per-shard logs in instance order, so outputs and
+//!   writes replay from per-shard run logs (run headers plus an `f32`
+//!   value arena) in instance order, so outputs and
 //!   [`KernelStats`] are bit-for-bit identical to the sequential path at
 //!   every thread count. Kernels that read a parameter they also write
 //!   fall back to sequential execution.

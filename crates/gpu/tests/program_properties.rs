@@ -17,6 +17,14 @@ use proptest::prelude::*;
 /// Knobs cover the compile pipeline's branches:
 /// * `masked` — adds an axis-0-affine column mask, which disqualifies
 ///   instance-class dedup (fallback path).
+/// * `rowmask` — `Some(q)` switches off tile rows `q..YB` with an
+///   `[YB, 1]` mask, the codegen's `arange(YB) < q` (a grid-invariant
+///   mask: dedup stays available); with `masked` the two combine into a
+///   per-lane `[YB, XB]` mask.
+/// * `f16` — the destination is half precision (stores and atomic adds
+///   round).
+/// * `skew` — shifts every tile by a few elements so runs start and end
+///   inside sectors (rows whose width is no multiple of a sector).
 /// * `indirect` — routes row addresses through an I32 metadata gather
 ///   (row-invariant loads, data-dependent bases).
 /// * `atomic` — scatter via `atomic_add` instead of `store`.
@@ -29,9 +37,12 @@ struct TiledSpec {
     gx: usize,
     gy: usize,
     masked: bool,
+    rowmask: Option<usize>,
     indirect: bool,
     atomic: bool,
     rloop: bool,
+    f16: bool,
+    skew: usize,
     scale: f64,
 }
 
@@ -73,16 +84,27 @@ impl TiledSpec {
             None => yids,
         };
         let rowoffs = b.binary(BinOp::Mul, rowids, cols_c);
+        let skew_c = b.constant(self.skew as f64);
+        let rowoffs = b.binary(BinOp::Add, rowoffs, skew_c);
         let row2 = b.expand_dims(rowoffs, 1);
         let col2 = b.expand_dims(xoffs, 0);
         let offs = b.binary(BinOp::Add, row2, col2);
 
-        let mask = if self.masked {
+        let colmask = if self.masked {
             let lim = b.constant((self.cols() - 1) as f64);
             let colmask = b.binary(BinOp::Lt, xoffs, lim);
             Some(b.expand_dims(colmask, 0))
         } else {
             None
+        };
+        let rowmask = self.rowmask.map(|q| {
+            let q_c = b.constant(q as f64);
+            let live = b.binary(BinOp::Lt, ylanes, q_c);
+            b.expand_dims(live, 1)
+        });
+        let mask = match (rowmask, colmask) {
+            (Some(r), Some(c)) => Some(b.binary(BinOp::And, r, c)),
+            (r, c) => r.or(c),
         };
 
         let scale_c = b.constant(self.scale);
@@ -113,13 +135,16 @@ impl TiledSpec {
     }
 
     fn tensors(&self, seed: u64) -> Vec<Tensor> {
-        let total = self.rows() * self.cols();
+        let total = self.rows() * self.cols() + self.skew;
         // 3 extra rows of slack for the reduction loop's shifted reads.
         let src_total = total + 3 * self.cols();
         let src = Tensor::from_fn(vec![src_total], |i| {
             ((i[0] as u64 ^ seed) % 13) as f32 - 6.0
         });
-        let dst = Tensor::zeros(vec![total]);
+        let mut dst = Tensor::zeros(vec![total]);
+        if self.f16 {
+            dst = dst.cast(DType::F16);
+        }
         if self.indirect {
             let rows = self.rows() as i64;
             let idx = Tensor::from_indices(
@@ -136,25 +161,53 @@ impl TiledSpec {
 
 fn spec_strategy() -> impl Strategy<Value = TiledSpec> {
     (
-        1usize..4, // gx
-        1usize..5, // gy
-        proptest::bool::ANY,
-        proptest::bool::ANY,
-        proptest::bool::ANY,
-        proptest::bool::ANY,
+        (
+            1usize..4, // gx
+            1usize..5, // gy
+            prop_oneof![
+                Just(8usize),
+                Just(16usize),
+                Just(24usize),
+                Just(32usize),
+                Just(64usize)
+            ],
+            prop_oneof![Just(4usize), Just(16usize)],
+        ),
+        (
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+        ),
+        (
+            proptest::bool::ANY,
+            0usize..17,
+            proptest::bool::ANY,
+            0usize..4,
+        ),
         -3.0f64..3.0,
     )
         .prop_map(
-            |(gx, gy, masked, indirect, atomic, rloop, scale)| TiledSpec {
-                xb: 16,
-                yb: 4,
-                gx,
-                gy,
-                masked,
-                indirect,
-                atomic,
-                rloop,
+            |(
+                (gx, gy, xb, yb),
+                (masked, indirect, atomic, rloop),
+                (rowmask, q, f16, skew),
                 scale,
+            )| {
+                TiledSpec {
+                    xb,
+                    yb,
+                    gx,
+                    gy,
+                    masked,
+                    rowmask: rowmask.then_some(q % (yb + 1)),
+                    indirect,
+                    atomic,
+                    rloop,
+                    f16,
+                    skew,
+                    scale,
+                }
             },
         )
 }
@@ -181,22 +234,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Compiled programs (all caching tiers active) match the seed
-    /// reference interpreter bit for bit.
+    /// reference interpreter bit for bit in Execute mode on both write
+    /// sinks (1 thread writes directly, 2 threads replay run logs) and
+    /// in Analytic mode with instance-class dedup on and off.
     #[test]
     fn compiled_program_matches_reference(spec in spec_strategy(), seed in 0u64..1000) {
         let kernel = spec.build();
         let device = DeviceModel::rtx3090();
-        for mode in [Mode::Execute, Mode::Analytic] {
-            let (new, out_new) =
-                launch_program(&spec, &kernel, mode, &LaunchOptions::sequential(), seed);
+        let mut two = LaunchOptions::with_threads(2);
+        two.min_parallel_instances = 2;
+        let brute = LaunchOptions {
+            analytic_dedup: false,
+            ..LaunchOptions::sequential()
+        };
+        for (mode, opts) in [
+            (Mode::Execute, LaunchOptions::sequential()),
+            (Mode::Execute, two),
+            (Mode::Analytic, LaunchOptions::sequential()),
+            (Mode::Analytic, brute),
+        ] {
+            let (new, out_new) = launch_program(&spec, &kernel, mode, &opts, seed);
             let mut owned = spec.tensors(seed);
             let mut refs: Vec<&mut Tensor> = owned.iter_mut().collect();
             let old = launch_reference(&kernel, &[spec.gx, spec.gy], &mut refs, &device, mode)
                 .expect("reference runs");
-            prop_assert_eq!(new.stats, old.stats, "{:?} stats diverge from seed", mode);
-            prop_assert_eq!(new.time, old.time, "{:?} time diverges from seed", mode);
+            prop_assert_eq!(new.stats, old.stats, "{:?} {:?} stats diverge from seed", mode, opts);
+            prop_assert_eq!(new.time, old.time, "{:?} {:?} time diverges from seed", mode, opts);
             for (a, b) in out_new.iter().zip(&owned) {
-                prop_assert_eq!(a.data(), b.data(), "{:?} outputs diverge from seed", mode);
+                prop_assert_eq!(a.data(), b.data(), "{:?} {:?} outputs diverge from seed", mode, opts);
             }
         }
     }
@@ -250,16 +315,19 @@ proptest! {
 fn affine_specs_enable_dedup() {
     for indirect in [false, true] {
         for atomic in [false, true] {
-            for rloop in [false, true] {
+            for (rloop, rowmask) in [(false, None), (true, None), (false, Some(3))] {
                 let spec = TiledSpec {
                     xb: 16,
-                    yb: 4,
+                    yb: 16,
                     gx: 3,
                     gy: 2,
                     masked: false,
+                    rowmask,
                     indirect,
                     atomic,
                     rloop,
+                    f16: false,
+                    skew: 3,
                     scale: 1.5,
                 };
                 let kernel = spec.build();
@@ -270,7 +338,7 @@ fn affine_specs_enable_dedup() {
                     Program::compile(&kernel, &[spec.gx, spec.gy], &lens, &dtypes).unwrap();
                 assert!(
                     program.analytic_dedup_available(),
-                    "indirect={indirect} atomic={atomic} rloop={rloop} should dedup"
+                    "indirect={indirect} atomic={atomic} rloop={rloop} rowmask={rowmask:?} should dedup"
                 );
             }
         }
